@@ -12,9 +12,10 @@ pluggable executor (:mod:`.executor`), each consulting the shared
 result cache (:mod:`.cache`) before touching its shard's engine;
 shard-local positions are offset-translated to global RIDs and merged
 (shard order *is* global order, so the k-way merge of sorted disjoint
-runs degenerates to concatenation).  Conjunctive ``select`` intersects
-the per-dimension merged streams, exactly like the single-engine plan
-of §1.
+runs degenerates to concatenation).  ``select`` combines whole
+per-dimension answers like the single-engine plan of §1, one shard at
+a time: each shard's specialized plan folds with the set kernels and
+the shard answers concatenate.
 
 Updates route to one shard — appends to the last, changes/deletes by
 live prefix sums — and bump only that shard's column version, so the
@@ -37,8 +38,8 @@ retires exactly the participating shards' entries while every sibling
 shard's hot entries keep serving.  :meth:`ClusterEngine.rebalance`
 applies the same policy until the whole cluster is within bounds.
 
-Cross-shard ``select`` streams: per-dimension RID iterators walk the
-shards in order (shard order *is* global order), materializing one
+Cross-shard ``select_iter`` streams: per-dimension RID iterators walk
+the shards in order (shard order *is* global order), materializing one
 shard's answer at a time, and the k-way conjunctive merge emits global
 RIDs one by one — peak intermediate memory is O(max shard answer)
 rather than O(answer), accounted by :class:`GatherStats`.  Under an
@@ -47,7 +48,8 @@ becomes a bounded *prefetching bridge*: while one shard's answer
 drains, up to ``prefetch_depth`` later shards' fetches are already in
 flight, so per-shard latency overlaps the drain without widening the
 memory bound beyond ``(1 + prefetch_depth)`` shard answers per
-dimension.
+dimension.  The materialized ``select`` walks the same window shard by
+shard, holding one shard's leaf answers only while that shard folds.
 
 Execution is a deployment choice (see :mod:`.executor`): *local*
 executors run scatter tasks against this process's shard engines,
@@ -88,6 +90,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
+from ..bits.ops import intersect_count
 from ..core.interface import RangeResult
 from ..engine.advisor import Advisor, CostModel
 from ..engine.engine import (
@@ -115,7 +118,8 @@ from ..query import (
     specialize,
     warn_mapping_adapter,
 )
-from ..query.planner import ALL, EMPTY
+from ..query.planner import ALL, EMPTY, LEAF
+from ..query import stream
 from .cache import InMemorySharedCache, SharedResultCache, shared_key
 from .executor import CompletedFuture, MappedFuture, SerialExecutor
 from .worker import evaluate_shard_fold
@@ -1176,6 +1180,22 @@ submit_query_group`) instead of one message per shard.
         plan = compile_pred(pred, lambda name: self._meta(name).sigma)
         return plan, resolve_universe(plan, self.total_rows)
 
+    def _compile_sharded(
+        self, pred: Pred
+    ) -> tuple[Plan, int, "list[int] | None"]:
+        """:meth:`_compile_pred` for shard-local execution.
+
+        Also returns the per-shard lengths every plan column shares —
+        ``None`` when they have drifted apart (see
+        :meth:`_aligned_lengths`) — reading each column's shard
+        lengths once for both answers.
+        """
+        plan = compile_pred(pred, lambda name: self._meta(name).sigma)
+        lengths = self._aligned_lengths(plan.columns)
+        if lengths is None:
+            return plan, resolve_universe(plan, self.total_rows), None
+        return plan, sum(lengths), lengths
+
     def _fetch_plan_leaves(
         self, plan: Plan, universe: int, trace=None
     ) -> list[RangeResult]:
@@ -1200,17 +1220,11 @@ submit_query_group`) instead of one message per shard.
         span per batched interval on the widened reply, and all of
         them graft into the open ``scatter`` span at gather time.
         """
-        per_leaf: list[list[list[int] | None]] = [
-            [None] * self.num_shards for _ in plan.leaves
-        ]
         metas = {col: self._meta(col) for col in {l[0] for l in plan.leaves}}
         offsets = {
             col: offsets_of(self.shard_lengths(col)) for col in metas
         }
-        # (entries, future) pairs; entries = [(leaf_idx, shard_id, key)]
-        # with key None for local single fetches (their task body does
-        # its own cache bookkeeping).
-        pending: list[tuple[list[tuple], object]] = []
+        launched: list[tuple[list, list, int]] = []
         bits = 0
         scatter_cm = (
             trace.span("scatter", leaves=len(plan.leaves))
@@ -1219,116 +1233,25 @@ submit_query_group`) instead of one message per shard.
         )
         with scatter_cm:
             for shard_id in range(self.num_shards):
-                batches: dict[str, list[tuple]] = {}
-                for leaf_idx, (col, lo, hi) in enumerate(plan.leaves):
-                    meta = metas[col]
-                    local = self._translate_range(meta, shard_id, lo, hi)
-                    if local is None:
-                        per_leaf[leaf_idx][shard_id] = []
-                        continue
-                    if not self._resident:
-                        task = (
-                            (
-                                self._fetch_shard_measured,
-                                col, meta, shard_id, *local,
-                            )
-                            if trace is None
-                            else (
-                                self._fetch_shard_measured_traced,
-                                col, meta, shard_id, *local,
-                                trace.trace_id,
-                            )
-                        )
-                        pending.append(
-                            (
-                                [(leaf_idx, shard_id, None)],
-                                self.executor.submit(*task),
-                            )
-                        )
-                        continue
-                    key = shared_key(
-                        col, meta.epoch, self.shard_uids[shard_id],
-                        self.shards[shard_id].column(col).version, *local,
-                    )
-                    hit = self.shared_cache.get(key)
-                    if hit is not None:
-                        if trace is not None:
-                            trace.event(
-                                "cache_lookup", tier="shared", hit=True,
-                                column=col,
-                                shard_uid=self.shard_uids[shard_id],
-                                bits_read=0,
-                            )
-                        per_leaf[leaf_idx][shard_id] = hit
-                        continue
-                    replica = self._replica_fetch(col, shard_id, *local)
-                    if replica is not None:
-                        positions, io = replica
-                        self.shared_cache.put(key, positions)
-                        self.scatter_io.add(io)
-                        bits += io.bits_read
-                        self.gather_rids += len(positions)
-                        if trace is not None:
-                            trace.event(
-                                "replica_fetch", column=col,
-                                shard_uid=self.shard_uids[shard_id],
-                                bits_read=io.bits_read,
-                            )
-                        per_leaf[leaf_idx][shard_id] = positions
-                    else:
-                        batches.setdefault(col, []).append(
-                            (leaf_idx, key, local)
-                        )
-                for col, entries in batches.items():
-                    uid = self.shard_uids[shard_id]
-                    self._note_flush(trace, uid)
-                    future = self.executor.submit_leaves(
-                        uid,
-                        col,
-                        [local for _, _, local in entries],
-                        trace=None if trace is None else trace.trace_id,
-                    )
-                    pending.append(
-                        (
-                            [
-                                (leaf_idx, shard_id, key)
-                                for leaf_idx, key, _ in entries
-                            ],
-                            future,
-                        )
-                    )
-            for i, (entries, future) in enumerate(pending):
+                leaves = []
+                for col, lo, hi in plan.leaves:
+                    local = self._translate_range(metas[col], shard_id, lo, hi)
+                    leaves.append(None if local is None else (col, *local))
+                launched.append(
+                    self._launch_shard_leaves(shard_id, leaves, metas, trace)
+                )
+            for n, (got, pending, launch_bits) in enumerate(launched):
                 try:
-                    reply = future.result()
+                    bits += launch_bits + self._collect_shard_leaves(
+                        got, pending, trace
+                    )
                 except BaseException:
-                    self._drain(f for _, f in pending[i + 1 :])
+                    self._drain(
+                        future
+                        for _, later, _ in launched[n + 1 :]
+                        for _, future in later
+                    )
                     raise
-                if entries[0][2] is None:  # local dialect: one (pos, io)
-                    if trace is None:
-                        positions, io = reply
-                    else:
-                        positions, io, span = reply
-                        if span is not None:
-                            trace.graft([span])
-                    self.scatter_io.add(io)
-                    bits += io.bits_read
-                    self.gather_rids += len(positions)
-                    leaf_idx, shard_id, _ = entries[0]
-                    per_leaf[leaf_idx][shard_id] = positions
-                else:  # resident dialect: one reply per batched interval
-                    if trace is None:
-                        pairs = reply
-                    else:
-                        pairs, spans = reply
-                        trace.graft(spans)
-                    for (leaf_idx, shard_id, key), (positions, io) in zip(
-                        entries, pairs
-                    ):
-                        self.scatter_io.add(io)
-                        bits += io.bits_read
-                        self.gather_rids += len(positions)
-                        self.shared_cache.put(key, positions)
-                        per_leaf[leaf_idx][shard_id] = positions
         if self.metrics is not None and bits:
             self.metrics.inc("query.bits_read", bits)
         merge_cm = (
@@ -1339,11 +1262,135 @@ submit_query_group`) instead of one message per shard.
             for leaf_idx, (col, _, _) in enumerate(plan.leaves):
                 off = offsets[col]
                 merged: list[int] = []
-                for shard_id in range(self.num_shards):
-                    positions = per_leaf[leaf_idx][shard_id]
-                    merged.extend(off[shard_id] + p for p in positions)
+                for shard_id, (got, _, _) in enumerate(launched):
+                    merged += stream.shift(got[leaf_idx], off[shard_id])
                 results.append(RangeResult(merged, universe))
         return results
+
+    def _launch_shard_leaves(
+        self, shard_id: int, leaves: Sequence, metas: dict, trace=None
+    ) -> tuple[list, list, int]:
+        """Launch one shard's leaf fetches through the shared-cache path.
+
+        ``leaves[i]`` is a ``(column, lo, hi)`` interval already in the
+        shard's local alphabet, or ``None`` where the shard prunes it.
+        Returns ``(got, pending, bits)``: ``got[i]`` holds the local
+        positions already in hand (``[]`` for a pruned leaf, a
+        coordinator-side shared-cache hit, a replica answer) and
+        ``None`` for a fetch still in flight; ``pending`` lists the
+        futures :meth:`_collect_shard_leaves` resolves; ``bits`` is
+        the I/O already accounted (replica fetches).  Local executors
+        run one task per leaf, whose body does its own cache
+        bookkeeping (entries ``(i, future)``); a resident executor
+        ships all of one column's misses as one pipelined ``leaves``
+        message (entries ``([(i, cache key), ...], future)``).
+        """
+        got: list = [None] * len(leaves)
+        pending: list[tuple] = []
+        bits = 0
+        if not self._resident:
+            for i, leaf in enumerate(leaves):
+                if leaf is None:
+                    got[i] = []
+                    continue
+                col, lo, hi = leaf
+                if trace is None:
+                    future = self.executor.submit(
+                        self._fetch_shard_measured,
+                        col, metas[col], shard_id, lo, hi,
+                    )
+                else:
+                    future = self.executor.submit(
+                        self._fetch_shard_measured_traced,
+                        col, metas[col], shard_id, lo, hi, trace.trace_id,
+                    )
+                pending.append((i, future))
+            return got, pending, bits
+        uid = self.shard_uids[shard_id]
+        batches: dict[str, list[tuple]] = {}
+        for i, leaf in enumerate(leaves):
+            if leaf is None:
+                got[i] = []
+                continue
+            col, lo, hi = leaf
+            key = shared_key(
+                col, metas[col].epoch, uid,
+                self.shards[shard_id].column(col).version, lo, hi,
+            )
+            hit = self.shared_cache.get(key)
+            if hit is not None:
+                if trace is not None:
+                    trace.event(
+                        "cache_lookup", tier="shared", hit=True,
+                        column=col, shard_uid=uid, bits_read=0,
+                    )
+                got[i] = hit
+                continue
+            replica = self._replica_fetch(col, shard_id, lo, hi)
+            if replica is not None:
+                positions, io = replica
+                self.shared_cache.put(key, positions)
+                self.scatter_io.add(io)
+                bits += io.bits_read
+                self.gather_rids += len(positions)
+                if trace is not None:
+                    trace.event(
+                        "replica_fetch", column=col, shard_uid=uid,
+                        bits_read=io.bits_read,
+                    )
+                got[i] = positions
+                continue
+            batches.setdefault(col, []).append((i, key, (lo, hi)))
+        for col, entries in batches.items():
+            self._note_flush(trace, uid)
+            future = self.executor.submit_leaves(
+                uid,
+                col,
+                [interval for _, _, interval in entries],
+                trace=None if trace is None else trace.trace_id,
+            )
+            pending.append(([(i, key) for i, key, _ in entries], future))
+        return got, pending, bits
+
+    def _collect_shard_leaves(
+        self, got: list, pending: list, trace=None
+    ) -> int:
+        """Resolve one shard's launched fetches into ``got``; returns bits.
+
+        Every reply's snapshot folds into ``scatter_io`` and its
+        positions count into ``gather_rids``; resident replies are
+        cached under their slot keys and traced replies graft their
+        spans.  A failed fetch drains the shard's remaining futures
+        (FIFO hygiene) before re-raising.
+        """
+        bits = 0
+        for n, (where, future) in enumerate(pending):
+            try:
+                reply = future.result()
+            except BaseException:
+                self._drain(f for _, f in pending[n + 1 :])
+                raise
+            if not self._resident:  # one (positions, io[, span])
+                if trace is not None:
+                    trace.graft([reply[2]])
+                positions, io = reply[0], reply[1]
+                self.scatter_io.add(io)
+                bits += io.bits_read
+                self.gather_rids += len(positions)
+                got[where] = positions
+                continue
+            if trace is None:  # one pair per batched interval
+                pairs = reply
+            else:
+                pairs, spans = reply
+                trace.graft(spans)
+            for (i, key), (positions, io) in zip(where, pairs):
+                self.scatter_io.add(io)
+                bits += io.bits_read
+                self.gather_rids += len(positions)
+                self.shared_cache.put(key, positions)
+                got[i] = positions
+        return bits
 
     def _query_pred(self, pred: Pred) -> RangeResult:
         with self._observed(
@@ -1407,6 +1454,46 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
                 metas[col], shard_id, lo, hi
             ),
         )
+
+    @staticmethod
+    def _fold_shard_answer(
+        plan: Plan, leaves: tuple, root: tuple, got: list, rows: int
+    ) -> list[int]:
+        """One shard's local answer from its fetched specialized leaves.
+
+        A bare leaf *is* the answer; anything else folds through
+        :func:`repro.query.evaluate` over the shard's ``rows``.
+        """
+        if root[0] == LEAF:
+            return got[0]
+        result = evaluate(
+            Plan(normalized=None, leaves=leaves, root=root,
+                 columns=plan.columns),
+            [RangeResult(positions, rows) for positions in got],
+            rows,
+        )
+        if result.complemented:
+            return result.positions()
+        return result.stored_positions()
+
+    def _aligned_lengths(self, columns) -> "list[int] | None":
+        """The per-shard lengths all ``columns`` share; ``None`` if not.
+
+        Shard-local execution (aggregate folds, the materialized
+        select) treats shard ``i`` of every column as one block of
+        rows.  Single-column appends and the splits they trigger can
+        leave columns with different per-shard lengths — shard ``i``
+        of one column then covers other global RIDs than shard ``i``
+        of another — and such plans must run globally instead.
+        """
+        lengths = None
+        for col in columns:
+            these = self.shard_lengths(col)
+            if lengths is None:
+                lengths = these
+            elif these != lengths:
+                return None
+        return lengths
 
     def _fold_metas(self, plan: Plan, group: "str | None") -> dict:
         metas = {col: self._meta(col) for col in plan.columns}
@@ -1531,11 +1618,17 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
         with self._observed(
             "count", report_fn=lambda: self._plan_report(pred)
         ) as trace:
-            if trace is not None:
-                with trace.span("plan", predicate=repr(pred)):
-                    plan, _ = self._compile_pred(pred)
-            else:
-                plan, _ = self._compile_pred(pred)
+            plan_cm = (
+                trace.span("plan", predicate=repr(pred))
+                if trace is not None
+                else nullcontext()
+            )
+            with plan_cm:
+                plan, universe, lengths = self._compile_sharded(pred)
+            if lengths is None:
+                return stream.count_iter(
+                    evaluate_iter(plan, self.query_iter, universe)
+                )
             return sum(self._scatter_fold("count", plan, trace=trace))
 
     def exists(self, pred: "Pred | Mapping[str, tuple[int, int]]") -> bool:
@@ -1553,11 +1646,16 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
         with self._observed(
             "exists", report_fn=lambda: self._plan_report(pred)
         ) as trace:
-            if trace is not None:
-                with trace.span("plan", predicate=repr(pred)):
-                    plan, _ = self._compile_pred(pred)
-            else:
-                plan, _ = self._compile_pred(pred)
+            plan_cm = (
+                trace.span("plan", predicate=repr(pred))
+                if trace is not None
+                else nullcontext()
+            )
+            with plan_cm:
+                plan, universe, lengths = self._compile_sharded(pred)
+            if lengths is None:
+                hits = evaluate_iter(plan, self.query_iter, universe)
+                return stream.first(hits) is not None
             metas = self._fold_metas(plan, None)
             columns = tuple(sorted(metas))
             anchor = columns[0]
@@ -1642,6 +1740,7 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
             (lambda: self._plan_report(pred)) if pred is not None else None
         )
         with self._observed("count_by", report_fn=report_fn) as trace:
+            universe = None
             if pred is None:
                 plan = Plan(
                     normalized=TRUE,
@@ -1662,7 +1761,7 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
                     # The group column joins universe validation: its
                     # equality leaves execute in the same position
                     # space as the pred.
-                    resolve_universe(
+                    universe = resolve_universe(
                         replace(
                             plan,
                             columns=tuple(
@@ -1671,6 +1770,11 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
                         ),
                         self.total_rows,
                     )
+            if (
+                universe is not None
+                and self._aligned_lengths({*plan.columns, group}) is None
+            ):
+                return self._count_by_global(group, plan, universe, trace)
             folds = self._scatter_fold("count_by", plan, group, trace=trace)
             merge_cm = (
                 trace.span("gather_merge")
@@ -1689,6 +1793,42 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
                         )
                         merged[code] = merged.get(code, 0) + n
             return merged
+
+    def _count_by_global(
+        self, group: str, plan: Plan, universe: int, trace=None
+    ) -> dict[int, int]:
+        """:meth:`count_by` for columns whose shards are not aligned.
+
+        The predicate's answer streams through the global pipeline;
+        every group code some shard holds is then fetched as one
+        batched scatter of equality leaves, and intersect-counted
+        against it in global RID space.
+        """
+        meta = self._meta(group)
+        answer = list(evaluate_iter(plan, self.query_iter, universe))
+        if not answer:
+            return {}
+        codes: set[int] = set()
+        for shard_id, shard in enumerate(self.shards):
+            domain = meta.domains.get(shard_id)
+            for code in {c for c in shard.column(group).codes
+                         if c is not None}:
+                codes.add(code if domain is None else domain[code])
+        group_plan = Plan(
+            normalized=None,
+            leaves=tuple((group, code, code) for code in sorted(codes)),
+            root=(EMPTY,),
+            columns=(group,),
+        )
+        leaf_results = self._fetch_plan_leaves(
+            group_plan, self.total_rows(group), trace=trace
+        )
+        counts: dict[int, int] = {}
+        for (_, code, _), result in zip(group_plan.leaves, leaf_results):
+            n = intersect_count(answer, result.stored_positions())
+            if n:
+                counts[code] = n
+        return counts
 
     def topk(
         self, group: str, pred: "Pred | None" = None, k: int = 10
@@ -1853,8 +1993,7 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
                     self.scatter_io.add(io)
                     bits += io.bits_read
                     self.gather_rids += len(positions)
-                    offset = offsets[shard_id]
-                    merged.extend(offset + p for p in positions)
+                    merged += stream.shift(positions, offsets[shard_id])
             if self.metrics is not None and bits:
                 self.metrics.inc("query.bits_read", bits)
             return RangeResult(merged, sum(lengths))
@@ -2006,15 +2145,24 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
     ) -> list[int]:
         """Global RIDs matching a predicate (or a legacy mapping).
 
-        The materialized form of :meth:`select_iter` — only the final
-        answer is built as a list; every intermediate stays inside the
-        streaming plan pipeline's per-shard buffers, so peak memory
-        keeps the O(max shard answer per leaf) bound however large
-        the per-leaf answers are.  (:meth:`query` over a predicate is
-        the batch-scatter alternative: all leaves fetched upfront
-        with per-shard batching and a complement-aware
-        :class:`RangeResult` out.)  The ``{column: (lo, hi)}``
-        conjunction mapping still works as a deprecated adapter.
+        Same answer as :meth:`select_iter`, evaluated shard by shard:
+        each shard's plan is specialized onto its alphabets (a pruned
+        shard is skipped without a fetch, one a complement fully
+        covers contributes its whole row range), its surviving leaves
+        are fetched through the shared cache — batched into one
+        ``leaves`` message per column under a resident executor — and
+        folded with the complement-aware set kernels over the shard's
+        rows; the shard answers, offset-translated, concatenate in
+        shard order.  Up to ``prefetch_depth`` later shards' fetches
+        are in flight while one shard folds, and ``gather_stats``
+        holds a shard's delivered leaf buffers only until that shard
+        is folded, so besides the answer itself peak memory is
+        O((1 + prefetch_depth) × leaves × max shard answer).  Columns
+        whose per-shard lengths have drifted apart (single-column
+        updates) share no shard boundaries; their plans run through
+        the global streaming pipeline instead.  The
+        ``{column: (lo, hi)}`` conjunction mapping still works as a
+        deprecated adapter.
         """
         if not isinstance(conditions, Pred):
             warn_mapping_adapter("ClusterEngine.select")
@@ -2022,12 +2170,94 @@ evaluate_shard_fold` a resident worker runs — including its deliberate
         with self._observed(
             "select", report_fn=lambda: self._plan_report(conditions)
         ) as trace:
-            if trace is not None:
-                with trace.span("plan", predicate=repr(conditions)):
-                    plan, universe = self._compile_pred(conditions)
-            else:
-                plan, universe = self._compile_pred(conditions)
-            return list(evaluate_iter(plan, self.query_iter, universe))
+            plan_cm = (
+                trace.span("plan", predicate=repr(conditions))
+                if trace is not None
+                else nullcontext()
+            )
+            with plan_cm:
+                plan, universe, lengths = self._compile_sharded(conditions)
+            if lengths is None:
+                return list(evaluate_iter(plan, self.query_iter, universe))
+            return self._select_shards(plan, lengths, trace)
+
+    def _select_shards(
+        self, plan: Plan, lengths: list[int], trace=None
+    ) -> list[int]:
+        """The shard-local evaluation behind :meth:`select`."""
+        metas = {col: self._meta(col) for col in plan.columns}
+        offsets = offsets_of(lengths)
+        tasks = []
+        if plan.root[0] == LEAF:
+            # A bare leaf specializes to itself or to nothing: translate
+            # its interval directly, as the single-leaf scatter does.
+            col, lo, hi = plan.leaves[0]
+            for shard_id in range(self.num_shards):
+                local = self._translate_range(metas[col], shard_id, lo, hi)
+                if local is not None:
+                    tasks.append((shard_id, ((col, *local),), plan.root))
+        else:
+            for shard_id in range(self.num_shards):
+                leaves, root = self._specialize_shard(plan, metas, shard_id)
+                if root[0] != EMPTY:
+                    tasks.append((shard_id, leaves, root))
+        answer: list[int] = []
+        bits = 0
+        in_flight: deque = deque()
+        next_task = 0
+        scatter_cm = (
+            trace.span("scatter", mode="select", leaves=len(plan.leaves))
+            if trace is not None
+            else nullcontext()
+        )
+        with scatter_cm:
+            try:
+                while next_task < len(tasks) or in_flight:
+                    # The prefetch window: launch ahead while one
+                    # shard folds (depth 0 launches only when needed).
+                    while (
+                        next_task < len(tasks)
+                        and len(in_flight) <= self.prefetch_depth
+                    ):
+                        shard_id, leaves, root = tasks[next_task]
+                        next_task += 1
+                        launch = (
+                            None
+                            if root[0] == ALL
+                            else self._launch_shard_leaves(
+                                shard_id, leaves, metas, trace
+                            )
+                        )
+                        in_flight.append((shard_id, leaves, root, launch))
+                    shard_id, leaves, root, launch = in_flight.popleft()
+                    offset, rows = offsets[shard_id], lengths[shard_id]
+                    if launch is None:  # a complement covers the shard
+                        answer.extend(range(offset, offset + rows))
+                        continue
+                    got, pending, launch_bits = launch
+                    bits += launch_bits + self._collect_shard_leaves(
+                        got, pending, trace
+                    )
+                    held = sum(map(len, got))
+                    self.gather_stats.acquire(held)
+                    try:
+                        positions = self._fold_shard_answer(
+                            plan, leaves, root, got, rows
+                        )
+                        answer += stream.shift(positions, offset)
+                    finally:
+                        self.gather_stats.release(held)
+            except BaseException:
+                self._drain(
+                    future
+                    for *_, launch in in_flight
+                    if launch is not None
+                    for _, future in launch[1]
+                )
+                raise
+        if self.metrics is not None and bits:
+            self.metrics.inc("query.bits_read", bits)
+        return answer
 
     def select_iter(
         self, conditions: "Pred | Mapping[str, tuple[int, int]]"

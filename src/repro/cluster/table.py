@@ -181,11 +181,15 @@ class ShardedTable:
                 f"columns {frozen} are static; build the table with an "
                 "update-capable dynamism to append rows"
             )
-        for name, code in codes.items():
-            self.cluster.append(name, code)
-            self.columns[name].values.append(row[name])
-        self.num_rows += 1
-        return self.num_rows - 1
+        # One row is one write: hold the cluster's serve lock across
+        # the per-column appends so no reader sees half a row (columns
+        # disagreeing on row count).
+        with self.cluster._serve_lock:
+            for name, code in codes.items():
+                self.cluster.append(name, code)
+                self.columns[name].values.append(row[name])
+            self.num_rows += 1
+            return self.num_rows - 1
 
     def change(self, name: str, rid: int, value: Any) -> None:
         """Change one attribute of one row, in value space."""

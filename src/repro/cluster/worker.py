@@ -100,6 +100,11 @@ _fold_shard_local`), so the aggregate a shard reports — value *and*
     measured I/O — is executor-independent.  Deliberately bypasses the
     shared result cache (workers do not hold it); only the engine's
     own LRU serves repeats, keeping the two paths' I/O identical.
+
+    Fetches are memoized for the duration of the fold: a ``count_by``
+    group leaf the predicate already fetched (``~In(group, S)`` reads
+    each excluded code's equality leaf) is answered from the memo, not
+    decoded a second time.
     """
     mode, columns, leaves, root, group = payload
     plan = Plan(
@@ -110,11 +115,16 @@ _fold_shard_local`), so the aggregate a shard reports — value *and*
     )
     universe = resolve_universe(plan, lambda name: engine.column(name).n)
     total = Snapshot()
+    memo: dict = {}
 
-    def fetch(col: str, lo: int, hi: int):
+    def fetch(col: str, lo: int, hi: int, keep: bool = True):
         nonlocal total
-        result, io = engine.query_measured(col, lo, hi)
-        total = total + io
+        result = memo.get((col, lo, hi))
+        if result is None:
+            result, io = engine.query_measured(col, lo, hi)
+            total = total + io
+            if keep:
+                memo[col, lo, hi] = result
         return result
 
     costs = engine._leaf_costs(plan)
@@ -131,7 +141,9 @@ _fold_shard_local`), so the aggregate a shard reports — value *and*
         )
 
         def group_fetch(code: int):
-            return fetch(group, code, code)
+            # Group leaves are read once each: consult the memo, but
+            # do not grow it with every group's answer.
+            return fetch(group, code, code, keep=False)
 
         value = evaluate_count_by(
             plan, fetch, universe, group_codes, group_fetch, costs

@@ -91,8 +91,12 @@ class RangeResult:
         return gaps()
 
     def stored_positions(self) -> list[int]:
-        """The list physically held (the complement when flagged)."""
-        return list(self._stored)
+        """The list physically held (the complement when flagged).
+
+        Shared, not copied — the set algebra reads it in place, so
+        callers must treat it as read-only.
+        """
+        return self._stored
 
     def __contains__(self, position: int) -> bool:
         if position < 0 or position >= self.universe:

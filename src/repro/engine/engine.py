@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from ..core.interface import RangeResult, SecondaryIndex
-from ..bits.ops import intersect_many
 from ..errors import InvalidParameterError, QueryError, UpdateError
 from ..iomodel.stats import Snapshot
 from ..obs import (
@@ -57,61 +56,9 @@ from ..query import (
     resolve_universe,
     warn_mapping_adapter,
 )
-from ..query.stream import intersect_iters
 from .advisor import Advisor, CostModel, WorkloadStats
 from .cache import LRUCache
 from .registry import IndexSpec, get_spec
-
-
-def conjunctive_select(
-    query, conditions: Mapping[str, tuple[int, int]]
-) -> list[int]:
-    """The §1 conjunctive plan over any range-query callable.
-
-    One range query per dimension through ``query(name, lo, hi)`` —
-    each individually cacheable by whatever serves it — short-circuits
-    as soon as one dimension comes back empty, then intersects the
-    sorted RID lists.  Shared by the single-process engine and the
-    cluster's scatter-gather path so the two can never diverge.
-    """
-    if not conditions:
-        raise QueryError("select requires at least one condition")
-    per_dim: list[list[int]] = []
-    for name, (lo, hi) in conditions.items():
-        result = query(name, lo, hi)
-        if result.cardinality == 0:
-            return []
-        per_dim.append(result.positions())
-    return intersect_many(per_dim)
-
-
-def conjunctive_select_iter(query_iter, conditions):
-    """The streaming §1 conjunctive plan over sorted RID iterators.
-
-    ``query_iter(name, lo, hi)`` must return an iterator of strictly
-    increasing global RIDs.  The returned generator performs the k-way
-    intersection in lockstep — every dimension holds one cursor, the
-    laggards are advanced to the current frontier, and a RID is emitted
-    only when all cursors agree — so the answer is produced one RID at
-    a time and nothing is materialized beyond what the per-dimension
-    iterators themselves buffer.  Exhausting any dimension ends the
-    whole select (the streaming form of the empty-dimension
-    short-circuit); abandoned iterators are closed so producers can
-    release their buffers deterministically.
-
-    Conditions are validated eagerly — the per-dimension iterators are
-    constructed (and their producers validate columns and ranges)
-    before the generator is ever advanced, mirroring
-    :func:`conjunctive_select`'s fail-fast behavior.  The merge itself
-    is :func:`repro.query.stream.intersect_iters`, the same combinator
-    every ``And`` plan node compiles into.
-    """
-    if not conditions:
-        raise QueryError("select requires at least one condition")
-    iters = [
-        query_iter(name, lo, hi) for name, (lo, hi) in conditions.items()
-    ]
-    return intersect_iters(iters)
 
 
 @dataclass(frozen=True)

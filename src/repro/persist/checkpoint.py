@@ -541,7 +541,9 @@ class Checkpointer:
     checkpoints under the cluster's ``_serve_lock`` — the serving path
     observes a pause (measured by E20), never a torn cut.  Triggers
     are single-flight: records arriving while a checkpoint is running
-    coalesce into at most one follow-up.
+    coalesce into at most one follow-up, and that follow-up runs only
+    if the policy is still due once the thread gets to it — records
+    the previous checkpoint already covered do not buy another.
     """
 
     def __init__(
@@ -559,6 +561,9 @@ class Checkpointer:
         self.fsync = fsync
         self._extra_fn = extra_fn
         self.checkpoints = 0
+        #: Wake-ups that found the policy no longer due (a coalesced
+        #: trigger the previous checkpoint already covered).
+        self.skipped = 0
         self.last_info: "CheckpointInfo | None" = None
         self._mutations_at_last = cluster.mutations
         self._wake = threading.Event()
@@ -597,6 +602,9 @@ class Checkpointer:
             if self._stopped:
                 return
             self._wake.clear()
+            if not self.due():
+                self.skipped += 1
+                continue
             try:
                 self.checkpoint_now()
             except Exception:

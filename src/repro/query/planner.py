@@ -102,16 +102,7 @@ class Plan:
         tolerates columns whose position spaces have drifted apart
         under engine-level single-column updates.
         """
-
-        def walk(node: tuple) -> bool:
-            tag = node[0]
-            if tag in (NOT, ALL):
-                return True
-            if tag in (AND, OR):
-                return any(walk(c) for c in node[1])
-            return False
-
-        return walk(self.root)
+        return _needs_universe(self.root)
 
     def fingerprint(
         self, epoch_of: "Callable[[str], object] | None" = None
@@ -134,6 +125,27 @@ class Plan:
             scope = self.columns
         payload = repr(("plan", scope, self.leaves, self.root))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+
+
+def _needs_universe(node: tuple) -> bool:
+    tag = node[0]
+    if tag in (NOT, ALL):
+        return True
+    if tag in (AND, OR):
+        return any(_needs_universe(c) for c in node[1])
+    return False
+
+
+def _renumber(node: tuple, remap: dict[int, int]) -> tuple:
+    """The operator tree with every leaf index mapped through ``remap``."""
+    tag = node[0]
+    if tag == LEAF:
+        return (LEAF, remap[node[1]])
+    if tag == NOT:
+        return (NOT, _renumber(node[1], remap))
+    if tag in (AND, OR):
+        return (tag, tuple(_renumber(c, remap) for c in node[1]))
+    return node
 
 
 def resolve_universe(plan: Plan, n_of: Callable[[str], int]) -> int:
@@ -161,6 +173,22 @@ def resolve_universe(plan: Plan, n_of: Callable[[str], int]) -> int:
     return max(universes)
 
 
+def _compile_node(node: Pred, leaf_id: Callable[[Range], int]) -> tuple:
+    if node is TRUE:
+        return (ALL,)
+    if node is FALSE:
+        return (EMPTY,)
+    if isinstance(node, Range):
+        return (LEAF, leaf_id(node))
+    if isinstance(node, Not):
+        return (NOT, _compile_node(node.part, leaf_id))
+    if isinstance(node, And):
+        return (AND, tuple(_compile_node(p, leaf_id) for p in node.parts))
+    if isinstance(node, Or):
+        return (OR, tuple(_compile_node(p, leaf_id) for p in node.parts))
+    raise QueryError(f"unexpected normalized node {type(node).__name__}")
+
+
 def compile_pred(pred: Pred, sigma_of: Callable[[str], int]) -> Plan:
     """Normalize and compile a code-space predicate into a :class:`Plan`."""
     if not isinstance(pred, Pred):
@@ -178,42 +206,15 @@ def compile_pred(pred: Pred, sigma_of: Callable[[str], int]) -> Plan:
             leaf_index[key] = len(leaf_index)
         return leaf_index[key]
 
-    def compile_node(node: Pred) -> tuple:
-        if node is TRUE:
-            return (ALL,)
-        if node is FALSE:
-            return (EMPTY,)
-        if isinstance(node, Range):
-            return (LEAF, leaf_id(node))
-        if isinstance(node, Not):
-            return (NOT, compile_node(node.part))
-        if isinstance(node, And):
-            return (AND, tuple(compile_node(p) for p in node.parts))
-        if isinstance(node, Or):
-            return (OR, tuple(compile_node(p) for p in node.parts))
-        raise QueryError(
-            f"unexpected normalized node {type(node).__name__}"
-        )
-
-    root = compile_node(normalized)
+    root = _compile_node(normalized, leaf_id)
     # Renumber leaves into sorted order so execution's fetch sequence
     # (and therefore its I/O) is canonical for equivalent predicates.
     ordered = sorted(leaf_index)
     remap = {leaf_index[key]: i for i, key in enumerate(ordered)}
-
-    def renumber(node: tuple) -> tuple:
-        if node[0] == LEAF:
-            return (LEAF, remap[node[1]])
-        if node[0] == NOT:
-            return (NOT, renumber(node[1]))
-        if node[0] in (AND, OR):
-            return (node[0], tuple(renumber(c) for c in node[1]))
-        return node
-
     return Plan(
         normalized=normalized,
         leaves=tuple(ordered),
-        root=renumber(root),
+        root=_renumber(root, remap),
         columns=columns,
     )
 
@@ -313,35 +314,7 @@ def evaluate(
         align_leaf(result, universe, needs_universe)
         for result in leaf_results
     ]
-
-    def fold(node: tuple) -> tuple[list[int], bool]:
-        tag = node[0]
-        if tag == ALL:
-            return [], True
-        if tag == EMPTY:
-            return [], False
-        if tag == LEAF:
-            return aligned[node[1]]
-        if tag == NOT:
-            stored, comp = fold(node[1])
-            return stored, not comp
-        if tag == AND:
-            stored, comp = fold(node[1][0])
-            for child in node[1][1:]:
-                c_stored, c_comp = fold(child)
-                stored, comp = intersect_aware(
-                    stored, comp, c_stored, c_comp
-                )
-            return stored, comp
-        if tag == OR:
-            stored, comp = fold(node[1][0])
-            for child in node[1][1:]:
-                c_stored, c_comp = fold(child)
-                stored, comp = union_aware(stored, comp, c_stored, c_comp)
-            return stored, comp
-        raise QueryError(f"unknown plan node {tag!r}")
-
-    stored, comp = fold(plan.root)
+    stored, comp = _fold(plan.root, aligned.__getitem__, None)
     return RangeResult(stored, universe, complemented=comp)
 
 
@@ -378,40 +351,53 @@ def evaluate_fetch(
             )
         return memo[index]
 
-    def fold(node: tuple) -> tuple[list[int], bool]:
-        tag = node[0]
-        if tag == ALL:
-            return [], True
-        if tag == EMPTY:
-            return [], False
-        if tag == LEAF:
-            return leaf(node[1])
-        if tag == NOT:
-            stored, comp = fold(node[1])
-            return stored, not comp
-        if tag == AND:
-            children = order_children(node[1], leaf_costs)
-            stored, comp = fold(children[0])
-            for child in children[1:]:
-                if not stored and not comp:  # empty: nothing can revive
-                    break
-                c_stored, c_comp = fold(child)
-                stored, comp = intersect_aware(
-                    stored, comp, c_stored, c_comp
-                )
-            return stored, comp
-        if tag == OR:
-            stored, comp = fold(node[1][0])
-            for child in node[1][1:]:
-                if not stored and comp:  # full: nothing can add
-                    break
-                c_stored, c_comp = fold(child)
-                stored, comp = union_aware(stored, comp, c_stored, c_comp)
-            return stored, comp
-        raise QueryError(f"unknown plan node {tag!r}")
-
-    stored, comp = fold(plan.root)
+    stored, comp = _fold(plan.root, leaf, leaf_costs)
     return RangeResult(stored, universe, complemented=comp)
+
+
+def _fold(
+    node: tuple,
+    leaf: Callable[[int], tuple[list[int], bool]],
+    leaf_costs: Sequence[float] | None,
+) -> tuple[list[int], bool]:
+    """Fold one subtree into a complement-aware ``(stored, comp)`` pair.
+
+    ``leaf(i)`` supplies leaf ``i``'s aligned pair.  An ``And`` that
+    goes empty and an ``Or`` that reaches the full universe skip their
+    remaining children (no fetch, no set operation); ``And`` legs run
+    cheapest-first under ``leaf_costs``.  A module-level recursion, not
+    a closure over itself: a self-referencing closure is a reference
+    cycle that would keep every leaf list alive until the next cyclic
+    garbage collection.
+    """
+    tag = node[0]
+    if tag == ALL:
+        return [], True
+    if tag == EMPTY:
+        return [], False
+    if tag == LEAF:
+        return leaf(node[1])
+    if tag == NOT:
+        stored, comp = _fold(node[1], leaf, leaf_costs)
+        return stored, not comp
+    if tag == AND:
+        children = order_children(node[1], leaf_costs)
+        stored, comp = _fold(children[0], leaf, leaf_costs)
+        for child in children[1:]:
+            if not stored and not comp:  # empty: nothing can revive
+                break
+            c_stored, c_comp = _fold(child, leaf, leaf_costs)
+            stored, comp = intersect_aware(stored, comp, c_stored, c_comp)
+        return stored, comp
+    if tag == OR:
+        stored, comp = _fold(node[1][0], leaf, leaf_costs)
+        for child in node[1][1:]:
+            if not stored and comp:  # full: nothing can add
+                break
+            c_stored, c_comp = _fold(child, leaf, leaf_costs)
+            stored, comp = union_aware(stored, comp, c_stored, c_comp)
+        return stored, comp
+    raise QueryError(f"unknown plan node {tag!r}")
 
 
 # ----------------------------------------------------------------------
@@ -664,50 +650,43 @@ def specialize(
             None if translated is None else (col, *translated)
         )
 
-    def rewrite(node: tuple) -> tuple:
-        tag = node[0]
-        if tag == LEAF:
-            return (EMPTY,) if local[node[1]] is None else node
-        if tag == NOT:
-            child = rewrite(node[1])
-            if child[0] == EMPTY:
-                return (ALL,)
-            if child[0] == ALL:
-                return (EMPTY,)
-            return (NOT, child)
-        if tag in (AND, OR):
-            absorb, identity = (EMPTY, ALL) if tag == AND else (ALL, EMPTY)
-            children = []
-            for part in node[1]:
-                folded = rewrite(part)
-                if folded[0] == absorb:
-                    return (absorb,)
-                if folded[0] == identity:
-                    continue
-                children.append(folded)
-            if not children:
-                return (identity,)
-            if len(children) == 1:
-                return children[0]
-            return (tag, tuple(children))
-        return node
-
-    root = rewrite(plan.root)
+    root = _prune(plan.root, local)
     used: set[int] = set()
     _subtree_leaves(root, used)
-    remap = {old: new for new, old in enumerate(sorted(used))}
+    ordered = sorted(used)
+    remap = {old: new for new, old in enumerate(ordered)}
+    return tuple(local[old] for old in ordered), _renumber(root, remap)
 
-    def renumber(node: tuple) -> tuple:
-        if node[0] == LEAF:
-            return (LEAF, remap[node[1]])
-        if node[0] == NOT:
-            return (NOT, renumber(node[1]))
-        if node[0] in (AND, OR):
-            return (node[0], tuple(renumber(c) for c in node[1]))
-        return node
 
-    leaves = tuple(local[old] for old in sorted(used))
-    return leaves, renumber(root)
+def _prune(node: tuple, local: Sequence) -> tuple:
+    """Constant-fold the tree once leaves with ``local[i] is None`` are
+    ``EMPTY`` (see :func:`specialize`)."""
+    tag = node[0]
+    if tag == LEAF:
+        return (EMPTY,) if local[node[1]] is None else node
+    if tag == NOT:
+        child = _prune(node[1], local)
+        if child[0] == EMPTY:
+            return (ALL,)
+        if child[0] == ALL:
+            return (EMPTY,)
+        return (NOT, child)
+    if tag in (AND, OR):
+        absorb, identity = (EMPTY, ALL) if tag == AND else (ALL, EMPTY)
+        children = []
+        for part in node[1]:
+            folded = _prune(part, local)
+            if folded[0] == absorb:
+                return (absorb,)
+            if folded[0] == identity:
+                continue
+            children.append(folded)
+        if not children:
+            return (identity,)
+        if len(children) == 1:
+            return children[0]
+        return (tag, tuple(children))
+    return node
 
 
 # ----------------------------------------------------------------------
@@ -731,36 +710,42 @@ def evaluate_iter(
     universe (that answer *is* O(universe) long).
     """
 
-    def build(node: tuple):
-        tag = node[0]
-        if tag == ALL:
-            return iter(range(universe))
-        if tag == EMPTY:
-            return iter(())
-        if tag == LEAF:
-            col, lo, hi = plan.leaves[node[1]]
-            return leaf_iter(col, lo, hi)
-        if tag == NOT:
-            return stream.complement_iter(build(node[1]), universe)
-        if tag == OR:
-            return stream.union_iters([build(c) for c in node[1]])
-        if tag == AND:
-            positive = [c for c in node[1] if c[0] != NOT]
-            negated = [c[1] for c in node[1] if c[0] == NOT]
-            if not positive:
-                return stream.complement_iter(
-                    stream.union_iters([build(c) for c in negated]),
-                    universe,
-                )
-            base = stream.intersect_iters([build(c) for c in positive])
-            if negated:
-                return stream.difference_iter(
-                    base, stream.union_iters([build(c) for c in negated])
-                )
-            return base
-        raise QueryError(f"unknown plan node {tag!r}")
+    return _build_iter(plan.root, plan, leaf_iter, universe)
 
-    return build(plan.root)
+
+def _build_iter(node: tuple, plan: Plan, leaf_iter, universe: int):
+    """One subtree of :func:`evaluate_iter` as a lazy iterator."""
+    tag = node[0]
+    if tag == ALL:
+        return iter(range(universe))
+    if tag == EMPTY:
+        return iter(())
+    if tag == LEAF:
+        col, lo, hi = plan.leaves[node[1]]
+        return leaf_iter(col, lo, hi)
+
+    def build(child: tuple):
+        return _build_iter(child, plan, leaf_iter, universe)
+
+    if tag == NOT:
+        return stream.complement_iter(build(node[1]), universe)
+    if tag == OR:
+        return stream.union_iters([build(c) for c in node[1]])
+    if tag == AND:
+        positive = [c for c in node[1] if c[0] != NOT]
+        negated = [c[1] for c in node[1] if c[0] == NOT]
+        if not positive:
+            return stream.complement_iter(
+                stream.union_iters([build(c) for c in negated]),
+                universe,
+            )
+        base = stream.intersect_iters([build(c) for c in positive])
+        if negated:
+            return stream.difference_iter(
+                base, stream.union_iters([build(c) for c in negated])
+            )
+        return base
+    raise QueryError(f"unknown plan node {tag!r}")
 
 
 # ----------------------------------------------------------------------

@@ -144,6 +144,20 @@ def first(it):
     return None if head is sentinel else head
 
 
+def shift(positions: list, offset: int) -> list:
+    """One shard's sorted local positions as global RIDs.
+
+    Shard ``i``'s RIDs all precede shard ``i + 1``'s, so a gather's
+    k-way merge of shard answers is a concatenation of these shifted
+    runs.  Materialized (the list comprehension is the fastest
+    per-element translation); ``offset`` 0 returns ``positions``
+    itself, which callers treat as read-only.
+    """
+    if not offset:
+        return positions
+    return [p + offset for p in positions]
+
+
 def complement_iter(it, universe: int):
     """Every position of ``[0, universe)`` absent from the stream.
 

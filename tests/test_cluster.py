@@ -1,5 +1,7 @@
 """Unit tests for the sharded scatter-gather serving layer."""
 
+import random
+
 import pytest
 
 from repro.cluster import (
@@ -681,6 +683,64 @@ class TestShardedTable:
         table2.change("v", 1, 5)
         assert table2.select({"v": (5, 5)}) == [0, 1, 2]
         assert table2.row(1) == {"v": 5}
+
+    def test_append_row_is_atomic_for_concurrent_readers(self):
+        # A reader running alongside append_row must never see half a
+        # row: a Not-predicate over both columns needs them to agree
+        # on row count, and every answer must be the full answer's
+        # prefix (some whole number of rows).
+        import sys
+        import threading
+
+        from repro.query import And, Not, Range
+
+        rng = random.Random(91)
+        start = 40
+        values = [
+            {"v": rng.randrange(8), "w": rng.randrange(8)}
+            for _ in range(start + 400)
+        ]
+        table = ShardedTable(
+            {
+                "v": [row["v"] for row in values[:start]],
+                "w": [row["w"] for row in values[:start]],
+            },
+            num_shards=2,
+            dynamism="semidynamic",
+        )
+        pred = And(Range("v", 2, 5), Not(Range("w", 3, 3)))
+        full = [
+            rid
+            for rid, row in enumerate(values)
+            if 2 <= row["v"] <= 5 and row["w"] != 3
+        ]
+        errors: list = []
+        done = threading.Event()
+
+        def reader():
+            while not done.is_set():
+                try:
+                    got = table.select(pred)
+                    assert got == full[: len(got)]
+                    table.count(pred)
+                except Exception as exc:  # reported by the main thread
+                    errors.append(exc)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave as often as possible
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for row in values[start:]:
+                table.append_row(row)
+        finally:
+            done.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert errors == []
+        assert table.select(pred) == full
 
     def test_append_row_validates_before_mutating(self):
         table = ShardedTable(

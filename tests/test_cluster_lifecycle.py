@@ -33,6 +33,7 @@ from repro.engine import QueryEngine
 from repro.errors import InvalidParameterError
 from repro.model.distributions import uniform
 from repro.queries import Table
+from repro.query import Range
 
 from tests.conftest import brute_range
 
@@ -250,13 +251,26 @@ class ClusterLifecycleMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def select_and_select_iter(self, data):
+        # Single-column appends and the splits they trigger drift the
+        # two columns' shard boundaries apart: shard-local execution
+        # (the materialized select, every aggregate fold) must notice
+        # and answer in global RID space like the streaming path.
         lo = data.draw(st.integers(0, SIGMA - 2))
         a = set(self._expected(self.a_shards, lo, lo + 1))
         b = set(self._expected(self.b_shards, 0, 3))
         want = sorted(a & b)
-        conditions = {"a": (lo, lo + 1), "b": (0, 3)}
-        assert self.cluster.select(conditions) == want
-        assert list(self.cluster.select_iter(conditions)) == want
+        pred = Range("a", lo, lo + 1) & Range("b", 0, 3)
+        assert self.cluster.select(pred) == want
+        assert list(self.cluster.select_iter(pred)) == want
+        assert self.cluster.count(pred) == len(want)
+        assert self.cluster.exists(pred) == bool(want)
+        flat_b = self._flat(self.b_shards)
+        by_b: dict[int, int] = {}
+        for rid in sorted(a):
+            code = flat_b[rid] if rid < len(flat_b) else None
+            if code is not None:
+                by_b[code] = by_b.get(code, 0) + 1
+        assert self.cluster.count_by("b", Range("a", lo, lo + 1)) == by_b
 
     # ------------------------------------------------------------------
     # Invariants

@@ -632,6 +632,55 @@ class TestCheckpointer:
         restored = restore_cluster(d, attach_wal=False)
         restored.close()
 
+    def test_covered_follow_up_wake_does_not_checkpoint(self, tmp_path):
+        # Records journaled while a due checkpoint waits for the serve
+        # lock re-arm the trigger; the checkpoint that then runs covers
+        # them all, so the coalesced follow-up finds nothing due.
+        rng = random.Random(53)
+        cluster = ClusterEngine(num_shards=2)
+        cluster.add_column(
+            "a", [rng.randrange(16) for _ in range(200)],
+            dynamism="semidynamic",
+        )
+        d = str(tmp_path / "dur")
+        init_persistence(cluster, d)
+        checkpointer = Checkpointer(
+            cluster, d, CheckpointPolicy(every_mutations=10)
+        )
+        appended = 0
+        try:
+            with cluster._serve_lock:
+                # Journal past the threshold: the record journaled once
+                # the policy is due wakes the thread.
+                while not checkpointer.due():
+                    cluster.append("a", rng.randrange(16))
+                    appended += 1
+                cluster.append("a", rng.randrange(16))
+                appended += 1
+                # The thread takes the wake-up, then blocks on the lock.
+                deadline = time.monotonic() + 10.0
+                while (
+                    checkpointer._wake.is_set()
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.005)
+                assert not checkpointer._wake.is_set()
+                for _ in range(15):
+                    cluster.append("a", rng.randrange(16))
+                    appended += 1
+            deadline = time.monotonic() + 10.0
+            while (
+                checkpointer.checkpoints + checkpointer.skipped < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert checkpointer.checkpoints == 1
+            assert checkpointer.skipped == 1
+            assert checkpointer.last_info.applied_seq == appended
+        finally:
+            checkpointer.close()
+            cluster.close()
+
     def test_checkpoint_now_rotates_wal(self, tmp_path):
         rng = random.Random(52)
         cluster = ClusterEngine(num_shards=2)

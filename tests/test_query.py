@@ -53,6 +53,7 @@ from repro.query.stream import (
     difference_iter,
     first,
     intersect_iters,
+    shift,
     union_iters,
 )
 
@@ -751,6 +752,13 @@ class TestStreamUtilities:
         assert pulled == [7]
         assert closed == [True]
         assert first(iter(())) is None
+
+    def test_shift_translates_a_shard_run(self):
+        local = [0, 3, 4]
+        assert shift(local, 10) == [10, 13, 14]
+        assert local == [0, 3, 4]
+        assert shift(local, 0) is local
+        assert shift([], 5) == []
 
 
 class TestFingerprint:
